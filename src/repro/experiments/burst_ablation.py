@@ -88,21 +88,21 @@ def _run_ber(mean_ber: float, packets: int, seed: int) -> list[BurstOutcome]:
         transmitted = codec.encode(info)
         for channel in ("iid", "burst"):
             for interleaved in (False, True):
-                recovered = 0
-                for _ in range(packets):
+                stream = (
+                    interleaver.scramble(transmitted)
+                    if interleaved
+                    else transmitted
+                )
+                received = np.repeat(stream[None, :], packets, axis=0)
+                for row in received:
                     positions = _error_positions(
                         channel, mean_ber, len(transmitted), rng
                     )
-                    stream = (
-                        interleaver.scramble(transmitted)
-                        if interleaved
-                        else transmitted
-                    ).copy()
-                    stream[positions] ^= 1
-                    if interleaved:
-                        stream = interleaver.unscramble(stream)
-                    if np.array_equal(codec.decode(stream), info):
-                        recovered += 1
+                    row[positions] ^= 1
+                if interleaved:
+                    received = interleaver.unscramble(received)
+                decoded = codec.decode_batch(received)
+                recovered = int((decoded == info[None, :]).all(axis=1).sum())
                 outcomes.append(
                     BurstOutcome(
                         mean_ber=mean_ber,

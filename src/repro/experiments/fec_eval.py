@@ -30,6 +30,7 @@ from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.fec.adaptive import AdaptiveFecController
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RATE_ORDER, RcpcCodec
+from repro.fec.viterbi import ERASED
 from repro.framing.testpacket import BODY_BITS
 
 
@@ -112,101 +113,124 @@ def _window_syndrome(
 # window estimate extends (wire bits).
 WINDOW_PAD_BITS = 48
 SOFT_WEIGHT = 0.25
+# Per-packet information-block size: the first kilobit of the body
+# keeps the Viterbi work tractable while exercising the same error
+# densities.
+INFO_BITS = 1024
+# Every cell replays the same information block and window offsets.
+CELL_RNG_SEED = 7
 
 
-def _evaluate_rate(
-    scenario: str,
+# Every (rate, interleaved, marking) cell a scenario is replayed
+# against: each rate with and without interleaving, plus the
+# burst-aware receiver variants at the strongest rate (the modem's AGC
+# flags the jam window, the decoder exploits it).
+CELLS: tuple[tuple[str, bool, str], ...] = (
+    *(
+        (rate_name, interleaved, "none")
+        for rate_name in RATE_ORDER
+        for interleaved in (False, True)
+    ),
+    ("1/2", True, "erase"),
+    ("1/2", True, "soft"),
+)
+
+
+def _damage_cell(
     syndromes: list[ErrorSyndrome],
-    rate_name: str,
+    codec: RcpcCodec,
     interleaved: bool,
-    marking: str = "none",
-    info_bits: int = 1024,
-    rng_seed: int = 7,
-) -> RateOutcome:
-    """Replay syndromes against one code rate.
+    marking: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Replay syndromes against one cell's channel, before decoding.
 
-    ``info_bits`` is the per-packet information-block size; using the
-    first kilobit of the body keeps the Viterbi work tractable while
-    exercising the same error densities.  ``marking`` selects the
-    burst-aware receiver variant: the modem's AGC knows which span an
-    interference burst covered, so the decoder can treat that window as
-    erasures ("erase") or down-weight it ("soft").
+    Returns the information block and the ``(len(syndromes), coded)``
+    received rows and confidence weights (all ones where the row is not
+    burst-marked — exactly equivalent to unweighted decoding).
+    ``marking`` selects the burst-aware receiver variant: the modem's
+    AGC knows which span an interference burst covered, so the decoder
+    can treat that window as erasures ("erase") or down-weight it
+    ("soft").
     """
-    codec = RcpcCodec(rate_name)
     interleaver = BlockInterleaver(rows=32, columns=64)
-    rng = np.random.default_rng(rng_seed)
-    info = rng.integers(0, 2, info_bits).astype(np.uint8)
+    rng = np.random.default_rng(CELL_RNG_SEED)
+    info = rng.integers(0, 2, INFO_BITS).astype(np.uint8)
     transmitted = codec.encode(info)
     coded_bits = len(transmitted)
-
-    # Damage every syndrome's block first (channel modelling is cheap),
-    # then decode the whole batch in one Viterbi pass — row results are
-    # bit-identical to per-packet decode calls, and rows without burst
-    # marking ride along with all-ones weights (exactly equivalent to
-    # unweighted decoding).
-    damaged_rows: list[np.ndarray] = []
-    weight_rows: list[np.ndarray | None] = []
-    any_weights = False
-    for syndrome in syndromes:
+    channel_stream = (
+        interleaver.scramble(transmitted) if interleaved else transmitted
+    )
+    received = np.repeat(channel_stream[None, :], len(syndromes), axis=0)
+    weights = np.ones(received.shape, dtype=np.float64)
+    for damaged, row_weights, syndrome in zip(received, weights, syndromes):
         # Replay a chunk-sized window of the syndrome's timeline.
         span_positions = _window_syndrome(syndrome, coded_bits, rng)
-        channel_stream = (
-            interleaver.scramble(transmitted) if interleaved else transmitted
-        )
-        damaged = channel_stream.copy()
-        positions = span_positions[span_positions < len(damaged)]
+        positions = span_positions[span_positions < coded_bits]
         damaged[positions] ^= 1
-
-        weights = None
         if marking != "none" and len(positions):
             # The receiver's window estimate, in wire (time) order.
             lo = max(0, int(positions.min()) - WINDOW_PAD_BITS)
             hi = min(coded_bits, int(positions.max()) + WINDOW_PAD_BITS)
             if marking == "erase":
-                from repro.fec.viterbi import ERASED
-
                 damaged[lo:hi] = ERASED
             else:  # soft
-                weights = np.ones(coded_bits, dtype=np.float64)
-                weights[lo:hi] = SOFT_WEIGHT
-        if interleaved:
-            damaged = interleaver.unscramble(damaged)
-            if weights is not None:
-                weights = interleaver.unscramble(weights)
-        damaged_rows.append(damaged)
-        weight_rows.append(weights)
-        if weights is not None:
-            any_weights = True
+                row_weights[lo:hi] = SOFT_WEIGHT
+    if interleaved:
+        received = interleaver.unscramble(received)
+        weights = interleaver.unscramble(weights)
+    return info, received, weights
 
-    recovered = 0
-    residual = 0
-    if damaged_rows:
-        weights_block = None
-        if any_weights:
-            weights_block = np.stack(
-                [
-                    w
-                    if w is not None
-                    else np.ones(coded_bits, dtype=np.float64)
-                    for w in weight_rows
-                ]
-            )
-        decoded = codec.decode_batch(
-            np.stack(damaged_rows), weights=weights_block
+
+def _evaluate_cells(
+    scenario: str, syndromes: list[ErrorSyndrome]
+) -> list[RateOutcome]:
+    """Replay syndromes against every cell in one Viterbi sweep.
+
+    Every rate depunctures the same information length onto the same
+    mother stream (punctured positions become erasures), so all cells'
+    rows stack into one block that the unpunctured mother-rate codec
+    decodes at once; row results are bit-identical to per-cell decodes.
+    """
+    # The 1/2 rate is the unpunctured mother code itself.
+    mother_codec = RcpcCodec("1/2")
+    n = len(syndromes)
+    codecs = [RcpcCodec(rate_name) for rate_name, _, _ in CELLS]
+    mother_bits = mother_codec.coded_length(INFO_BITS)
+    mother = np.empty((len(CELLS) * n, mother_bits), dtype=np.uint8)
+    mother_weights = np.empty(mother.shape, dtype=np.float64)
+    expected = np.empty((len(CELLS) * n, INFO_BITS), dtype=np.uint8)
+    for index, (codec, (_, interleaved, marking)) in enumerate(
+        zip(codecs, CELLS)
+    ):
+        rows = slice(index * n, (index + 1) * n)
+        info, received, weights = _damage_cell(
+            syndromes, codec, interleaved, marking
         )
-        errors_per_packet = (decoded != info[None, :]).sum(axis=1)
-        recovered = int((errors_per_packet == 0).sum())
-        residual = int(errors_per_packet.sum())
-    return RateOutcome(
-        scenario=scenario,
-        rate_name=rate_name,
-        interleaved=interleaved,
-        packets=len(syndromes),
-        packets_recovered=recovered,
-        residual_bit_errors=residual,
-        overhead_fraction=codec.overhead,
-        marking=marking,
-    )
+        mother[rows], mother_weights[rows] = codec.depuncture(
+            received, weights
+        )
+        expected[rows] = info
+    errors = np.zeros(len(CELLS) * n, dtype=np.int64)
+    if n:
+        decoded = mother_codec.decode_batch(mother, weights=mother_weights)
+        errors = (decoded != expected).sum(axis=1)
+    outcomes = []
+    for codec, (rate_name, interleaved, marking), errors_per_packet in zip(
+        codecs, CELLS, errors.reshape(len(CELLS), n)
+    ):
+        outcomes.append(
+            RateOutcome(
+                scenario=scenario,
+                rate_name=rate_name,
+                interleaved=interleaved,
+                packets=n,
+                packets_recovered=int((errors_per_packet == 0).sum()),
+                residual_bit_errors=int(errors_per_packet.sum()),
+                overhead_fraction=codec.overhead,
+                marking=marking,
+            )
+        )
+    return outcomes
 
 
 def _collect_syndromes(classified, limit: int) -> list[ErrorSyndrome]:
@@ -292,21 +316,10 @@ def _run_scenario(
     """
     classified = DAMAGE_SOURCES[scenario].harvest(scale, seed)
     syndromes = _collect_syndromes(classified, syndrome_limit)
-    outcomes = []
-    for rate_name in RATE_ORDER:
-        for interleaved in (False, True):
-            outcomes.append(
-                _evaluate_rate(scenario, syndromes, rate_name, interleaved)
-            )
-    # Burst-aware receiver variants at the strongest rate: the modem's
-    # AGC flags the jam window, the decoder exploits it.
-    for marking in ("erase", "soft"):
-        outcomes.append(
-            _evaluate_rate(
-                scenario, syndromes, "1/2", interleaved=True, marking=marking
-            )
-        )
-    return outcomes, _adaptive_schedule(scenario, classified)
+    return (
+        _evaluate_cells(scenario, syndromes),
+        _adaptive_schedule(scenario, classified),
+    )
 
 
 SCENARIOS = tuple(DAMAGE_SOURCES)

@@ -95,13 +95,26 @@ class ThroughputResult:
         return best
 
 
-def _fec_recovers(syndrome, codec, interleaver, info, transmitted) -> bool:
+def _fec_recovered(syndromes, codec, interleaver, info, transmitted) -> int:
+    """How many damaged packets the FEC replay recovers.
+
+    Every syndrome's body positions are scaled onto the interleaved
+    coded stream and flipped; the deinterleaved rows are then decoded
+    in one batch and counted when they equal ``info``.
+    """
+    if not syndromes:
+        return 0
     scale = len(transmitted) / BODY_BITS
-    positions = np.unique((syndrome.body_bit_positions * scale).astype(np.int64))
-    positions = positions[positions < len(transmitted)]
-    stream = interleaver.scramble(transmitted).copy()
-    stream[positions] ^= 1
-    return bool(np.array_equal(codec.decode(interleaver.unscramble(stream)), info))
+    received = np.repeat(
+        interleaver.scramble(transmitted)[None, :], len(syndromes), axis=0
+    )
+    for row, syndrome in zip(received, syndromes):
+        positions = np.unique(
+            (syndrome.body_bit_positions * scale).astype(np.int64)
+        )
+        row[positions[positions < len(transmitted)]] ^= 1
+    decoded = codec.decode_batch(interleaver.unscramble(received))
+    return int((decoded == info[None, :]).all(axis=1).sum())
 
 
 def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
@@ -122,11 +135,9 @@ def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
     undamaged = len(classified.by_class(PacketClass.UNDAMAGED))
     damaged = classified.by_class(PacketClass.BODY_DAMAGED)
     truncated = len(classified.by_class(PacketClass.TRUNCATED))
-    recovered = sum(
-        1
-        for p in damaged
-        if p.syndrome is not None
-        and _fec_recovers(p.syndrome, codec, interleaver, info, transmitted)
+    recovered = _fec_recovered(
+        [p.syndrome for p in damaged if p.syndrome is not None],
+        codec, interleaver, info, transmitted,
     )
     return ThroughputPoint(
         level=level,

@@ -74,15 +74,17 @@ class BlockInterleaver:
         return wire_order[wire_order < length]
 
     def scramble(self, bits: np.ndarray) -> np.ndarray:
-        """Length-preserving interleave: reorder ``bits`` into wire order."""
+        """Length-preserving interleave: reorder ``bits`` into wire order
+        (along the last axis, so a ``(batch, length)`` block scrambles
+        row by row)."""
         bits = np.asarray(bits)
-        return bits[self.permutation(len(bits))]
+        return bits[..., self.permutation(bits.shape[-1])]
 
     def unscramble(self, bits: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`scramble`."""
         bits = np.asarray(bits)
         out = np.empty_like(bits)
-        out[self.permutation(len(bits))] = bits
+        out[..., self.permutation(bits.shape[-1])] = bits
         return out
 
     def burst_spread(self) -> int:

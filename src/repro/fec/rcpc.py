@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from repro.fec.convolutional import ConvolutionalCode
-from repro.fec.viterbi import ERASED, viterbi_decode, viterbi_decode_batch
+from repro.fec.viterbi import ERASED, viterbi_decode_batch
 
 # Puncturing period (information bits per puncturing table column set).
 PUNCTURE_PERIOD = 8
@@ -129,32 +129,24 @@ class RcpcCodec:
         (see :func:`repro.fec.viterbi.viterbi_decode`).
         """
         received = np.asarray(received, dtype=np.uint8)
-        n_steps = self._steps_for_length(len(received))
-        mask = self._mask(n_steps)
-        mother = np.full(n_steps * self.code.n_outputs, ERASED, dtype=np.uint8)
-        mother[mask] = received
-        mother_weights = None
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             if len(weights) != len(received):
                 raise ValueError(
                     f"weights length {len(weights)} != received {len(received)}"
                 )
-            mother_weights = np.ones(len(mother), dtype=np.float64)
-            mother_weights[mask] = weights
-        return viterbi_decode(
-            self.code, mother, terminated=True, weights=mother_weights
-        )
+            weights = weights[None]
+        return self.decode_batch(received[None], weights)[0]
 
-    def decode_batch(
+    def depuncture(
         self, received: np.ndarray, weights: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Depuncture and decode a ``(batch, length)`` block at once.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Map a ``(batch, length)`` transmitted block onto the mother
+        stream: punctured positions become :data:`ERASED` (weight 1).
 
-        Every row must be the same transmitted length (one puncturing
-        mask serves the whole batch); row ``i`` of the result equals
-        ``decode(received[i], weights[i])`` bit for bit, via
-        :func:`repro.fec.viterbi.viterbi_decode_batch`.
+        Every rate of the family depunctures the same information length
+        onto the same mother-stream length, so blocks from different
+        rates can be stacked and decoded in one sweep.
         """
         received = np.asarray(received, dtype=np.uint8)
         if received.ndim != 2:
@@ -178,6 +170,19 @@ class RcpcCodec:
                 )
             mother_weights = np.ones(mother.shape, dtype=np.float64)
             mother_weights[:, mask] = weights
+        return mother, mother_weights
+
+    def decode_batch(
+        self, received: np.ndarray, weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Depuncture and decode a ``(batch, length)`` block at once.
+
+        Every row must be the same transmitted length (one puncturing
+        mask serves the whole batch); row ``i`` of the result equals
+        ``decode(received[i], weights[i])`` bit for bit, via
+        :func:`repro.fec.viterbi.viterbi_decode_batch`.
+        """
+        mother, mother_weights = self.depuncture(received, weights)
         return viterbi_decode_batch(
             self.code, mother, terminated=True, weights=mother_weights
         )

@@ -10,7 +10,9 @@ branches, so the add-compare-select step vectorizes cleanly over the
 2^(K-1) states; :func:`viterbi_decode_batch` additionally vectorizes
 over whole *batches* of received blocks, turning the per-step work into
 ``(batch, states)`` array operations so the Python-level step loop is
-paid once per batch instead of once per packet.  The scalar
+paid once per sweep instead of once per packet.  A sweep covers at
+most :data:`_SWEEP_ROWS` rows, so a decode's memory is flat in batch
+size however many rows a caller stacks.  The scalar
 :func:`viterbi_decode` is the same kernel at batch size 1, so the two
 agree bit for bit.
 """
@@ -24,6 +26,12 @@ from repro.fec.convolutional import ConvolutionalCode
 from repro.obs import runtime as _obs
 
 ERASED = 2  # sentinel value in the received stream: no bit at this slot
+
+# Rows swept through the trellis at once.  The survivor store and the
+# per-pattern cost tensor grow with the rows in a sweep, so capping a
+# sweep keeps a decode's memory flat in batch size; 64 rows already
+# amortize the Python-level step loop.
+_SWEEP_ROWS = 64
 
 
 def _transition_tables(code: ConvolutionalCode):
@@ -164,40 +172,17 @@ def _decode_batch_impl(
             )
         weights = weights.reshape(batch, n_steps, n_out)
 
-    (
-        _outputs,
-        from_state,
-        input_bit,
-        pred_branches,
-        branch_pattern,
-        all_patterns,
-    ) = _cached_tables(code)
-
+    _outputs, from_state, input_bit, pred_branches, branch_pattern, all_patterns = (
+        _cached_tables(code)
+    )
+    kernel = _compiled.viterbi_batch if _compiled.compiled_enabled() else _acs_numpy
     symbols = received.reshape(batch, n_steps, n_out)
-    # Per-step costs for every possible output pattern:
-    # cost_pattern[b, step, p] = (weighted) count of usable symbol bits
-    # differing from pattern p.  Branch costs are gathers from this —
-    # identical floats to the per-branch computation (same terms, same
-    # summation order over the symbol axis).
-    usable = symbols != ERASED
-    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
-    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
-    if weights is not None:
-        effective *= weights[:, :, None, :]
-    cost_pattern = effective.sum(axis=3)
-
-    if _compiled.compiled_enabled():
-        decoded = _compiled.viterbi_batch(
-            cost_pattern,
-            branch_pattern,
-            from_state,
-            input_bit,
-            pred_branches,
-            terminated,
-        )
-    else:
-        decoded = _acs_numpy(
-            cost_pattern,
+    decoded = np.empty((batch, n_steps), dtype=np.uint8)
+    for start in range(0, batch, _SWEEP_ROWS):
+        rows = slice(start, start + _SWEEP_ROWS)
+        block_weights = None if weights is None else weights[rows]
+        decoded[rows] = kernel(
+            _pattern_costs(symbols[rows], block_weights, all_patterns),
             branch_pattern,
             from_state,
             input_bit,
@@ -212,6 +197,25 @@ def _decode_batch_impl(
     return decoded
 
 
+def _pattern_costs(
+    symbols: np.ndarray, weights: np.ndarray | None, all_patterns: np.ndarray
+) -> np.ndarray:
+    """Per-step costs for every possible output pattern.
+
+    ``cost_pattern[b, step, p]`` = (weighted) count of usable symbol
+    bits differing from pattern ``p``.  Branch costs are gathers from
+    this — identical floats to the per-branch computation (same terms,
+    same summation order over the symbol axis).  A function of its own
+    so the intermediate tensors are freed before the ACS runs.
+    """
+    usable = symbols != ERASED
+    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
+    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
+    if weights is not None:
+        effective *= weights[:, :, None, :]
+    return effective.sum(axis=3)
+
+
 def _acs_numpy(
     cost_pattern: np.ndarray,
     branch_pattern: np.ndarray,
@@ -223,27 +227,33 @@ def _acs_numpy(
     """Numpy reference add-compare-select + traceback (all batch rows).
 
     The executable reference for :func:`repro.compiled.viterbi_batch`;
-    the compiled twin must stay byte-identical to this.
+    the compiled twin must stay byte-identical to this.  Survivors are
+    stored as the 1-bit choice between a state's two predecessor
+    branches (uint8), and traceback resolves the branch through
+    ``pred_branches``.
     """
     batch, n_steps, _ = cost_pattern.shape
     n_states = pred_branches.shape[0]
-    state_index = np.arange(n_states)
+    # Gathers through pred_branches hoisted out of the step loop: the
+    # candidate metric of predecessor k of every state, as one add.
+    pred_from = from_state[pred_branches]
+    pred_pattern = branch_pattern[pred_branches]
+
+    step_costs = np.ascontiguousarray(cost_pattern.transpose(1, 0, 2))
 
     big = np.float64(1e9)
     metrics = np.full((batch, n_states), big)
     metrics[:, 0] = 0.0  # encoder starts in state 0
-    traceback = np.zeros((batch, n_steps, n_states), dtype=np.int32)
+    survivors = np.empty((batch, n_steps, n_states), dtype=np.uint8)
 
     for step in range(n_steps):
-        candidate = (
-            metrics[:, from_state] + cost_pattern[:, step, branch_pattern]
-        )
-        two_way = candidate[:, pred_branches]  # (batch, n_states, 2)
-        choice = two_way[..., 1] < two_way[..., 0]
-        traceback[:, step, :] = pred_branches[
-            state_index, choice.astype(np.int8)
-        ]
-        metrics = np.where(choice, two_way[..., 1], two_way[..., 0])
+        two_way = metrics[:, pred_from]  # (batch, n_states, 2)
+        two_way += step_costs[step][:, pred_pattern]
+        first, second = two_way[..., 0], two_way[..., 1]
+        # Strict < keeps the first predecessor on ties; the surviving
+        # metric is the smaller of the two either way.
+        np.less(second, first, out=survivors[:, step, :])
+        metrics = np.minimum(first, second)
 
     if terminated:
         state = np.zeros(batch, dtype=np.int64)
@@ -252,7 +262,7 @@ def _acs_numpy(
     decoded = np.empty((batch, n_steps), dtype=np.uint8)
     rows = np.arange(batch)
     for step in range(n_steps - 1, -1, -1):
-        branch = traceback[rows, step, state]
+        branch = pred_branches[state, survivors[rows, step, state]]
         decoded[:, step] = input_bit[branch]
         state = from_state[branch]
     return decoded

@@ -14,7 +14,12 @@ import pytest
 
 from repro.fec.convolutional import ConvolutionalCode
 from repro.fec.rcpc import RATE_ORDER, RcpcCodec
-from repro.fec.viterbi import ERASED, viterbi_decode, viterbi_decode_batch
+from repro.fec.viterbi import (
+    _SWEEP_ROWS,
+    ERASED,
+    viterbi_decode,
+    viterbi_decode_batch,
+)
 
 
 @pytest.fixture
@@ -152,3 +157,103 @@ class TestRcpcBatchIdentity:
         np.testing.assert_array_equal(
             batched[1], codec.decode(received[1], weights[1])
         )
+
+
+# Batch sizes straddling the sweep block: one row, one short of a
+# block, exactly one, one over, and two blocks plus one.
+BLOCK_BATCHES = [1, 63, 64, 65, 129]
+
+
+def _mixed_rows(rng, received):
+    """Erase in about half the rows; weight about half the rows (the
+    rest all-ones, decoded against ``weights=None``)."""
+    received = received.copy()
+    erased_rows = rng.random(received.shape[0]) < 0.5
+    erase = (rng.random(received.shape) < 0.1) & erased_rows[:, None]
+    received[erase] = ERASED
+    weighted_rows = rng.random(received.shape[0]) < 0.5
+    weights = rng.random(received.shape)
+    weights[~weighted_rows] = 1.0
+    return received, weights, weighted_rows
+
+
+class TestSweepBlockBoundaries:
+    """Batches are swept :data:`_SWEEP_ROWS` rows at a time; a row must
+    decode the same whichever block, and block position, it lands in.
+
+    The compiled-tier CI leg runs these same cases with the numba
+    kernel substituted, so both tiers see the same blocks.
+    """
+
+    def test_cases_straddle_the_block(self):
+        assert _SWEEP_ROWS == 64
+
+    @pytest.mark.parametrize("terminated", [True, False])
+    @pytest.mark.parametrize("batch", BLOCK_BATCHES)
+    def test_viterbi_rows_match_scalar(self, code, rng, batch, terminated):
+        clean = _damaged_batch(code, rng, batch, 24, flip=0.06)
+        received, weights, weighted_rows = _mixed_rows(rng, clean)
+        plain = viterbi_decode_batch(code, received, terminated=terminated)
+        mixed = viterbi_decode_batch(
+            code, received, terminated=terminated, weights=weights
+        )
+        for row in range(batch):
+            np.testing.assert_array_equal(
+                plain[row],
+                viterbi_decode(code, received[row], terminated=terminated),
+            )
+            np.testing.assert_array_equal(
+                mixed[row],
+                viterbi_decode(
+                    code,
+                    received[row],
+                    terminated=terminated,
+                    weights=weights[row] if weighted_rows[row] else None,
+                ),
+            )
+
+    @pytest.mark.parametrize("rate_name", ["8/9", "1/2"])
+    @pytest.mark.parametrize("batch", BLOCK_BATCHES)
+    def test_rcpc_rows_match_scalar(self, rng, batch, rate_name):
+        codec = RcpcCodec(rate_name)
+        info = rng.integers(0, 2, (batch, 24)).astype(np.uint8)
+        transmitted = np.stack([codec.encode(row) for row in info])
+        transmitted[rng.random(transmitted.shape) < 0.04] ^= 1
+        received, weights, weighted_rows = _mixed_rows(rng, transmitted)
+        plain = codec.decode_batch(received)
+        mixed = codec.decode_batch(received, weights=weights)
+        for row in range(batch):
+            np.testing.assert_array_equal(
+                plain[row], codec.decode(received[row])
+            )
+            np.testing.assert_array_equal(
+                mixed[row],
+                codec.decode(
+                    received[row],
+                    weights[row] if weighted_rows[row] else None,
+                ),
+            )
+
+
+class TestRcpcScalarDecode:
+    def test_weights_length_mismatch_is_a_value_error(self):
+        codec = RcpcCodec("4/5")
+        received = codec.encode(np.zeros(16, dtype=np.uint8))
+        with pytest.raises(ValueError, match="weights length"):
+            codec.decode(received, np.ones(len(received) - 1))
+
+    def test_depunctured_streams_of_every_rate_decode_together(self, rng):
+        """Every rate maps the same information length onto the same
+        mother stream, so mixed-rate rows decode in one mother-code
+        batch exactly as each rate's own decode does."""
+        info = rng.integers(0, 2, 40).astype(np.uint8)
+        mothers, expected = [], []
+        for rate_name in RATE_ORDER:
+            codec = RcpcCodec(rate_name)
+            received = np.stack([codec.encode(info)] * 3)
+            received[rng.random(received.shape) < 0.05] ^= 1
+            mother, _ = codec.depuncture(received)
+            mothers.append(mother)
+            expected.append(codec.decode_batch(received))
+        decoded = RcpcCodec("1/2").decode_batch(np.concatenate(mothers))
+        np.testing.assert_array_equal(decoded, np.concatenate(expected))

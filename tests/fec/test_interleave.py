@@ -23,6 +23,15 @@ class TestRoundtrip:
         with pytest.raises(ValueError):
             BlockInterleaver(4, 8).deinterleave(np.zeros(33, dtype=np.uint8))
 
+    @pytest.mark.parametrize("length", [1, 37, 64])
+    def test_scramble_block_matches_each_row(self, length, rng):
+        interleaver = BlockInterleaver(4, 8)
+        block = rng.integers(0, 3, (5, length)).astype(np.uint8)
+        scrambled = interleaver.scramble(block)
+        for row in range(block.shape[0]):
+            assert np.array_equal(scrambled[row], interleaver.scramble(block[row]))
+        assert np.array_equal(interleaver.unscramble(scrambled), block)
+
 
 class TestBurstSpreading:
     def test_adjacent_bits_separated_by_rows(self):
